@@ -117,6 +117,10 @@ fn signature_benches() {
     let pubs: Vec<_> = keys.iter().map(|kp| kp.public().clone()).collect();
     let sc = &envs[0].signed;
 
+    // Every outgoing message pays one private-key exponentiation.
+    let digest = sc.digest();
+    g.bench("sign", || keys[0].sign_digest(&digest));
+
     // Cold path: a fresh directory (fresh memo) per verification.
     g.bench_batched(
         "verify-uncached",

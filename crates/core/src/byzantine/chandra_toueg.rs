@@ -162,21 +162,19 @@ impl ByzantineChandraToueg {
 
     /// Signs and broadcasts a message (the transformed send path: the
     /// certification module appends `cert`, the signature module signs).
+    /// Returns the broadcast signed core for callers whose own message
+    /// must join a local certificate before the broadcast copy
+    /// self-delivers (the certificate deduplicates the two).
     fn send_all(
         &self,
         core: Core,
         cert: Certificate,
         ctx: &mut Context<'_, Envelope, ValueVector>,
-    ) {
-        ctx.broadcast(Envelope::make(self.me, core, cert, &self.keys));
-    }
-
-    /// Signs `core` standalone — used when a signed item must join a local
-    /// certificate before the broadcast copy self-delivers (the signature
-    /// is deterministic, so both copies are byte-identical and the
-    /// certificate deduplicates them).
-    fn sign(&self, core: Core) -> SignedCore {
-        SignedCore::sign(ftm_certify::MessageCore::new(self.me, core), &self.keys)
+    ) -> SignedCore {
+        let env = Envelope::make(self.me, core, cert, &self.keys);
+        let signed = env.signed.clone();
+        ctx.broadcast(env);
+        signed
     }
 
     /// Phase 1: open round `r + 1` with the mandatory ESTIMATE broadcast.
@@ -285,15 +283,7 @@ impl ByzantineChandraToueg {
         for e in &self.estimates {
             cert.insert(e.signed.clone());
         }
-        let own = self.sign(Core::Propose {
-            round: self.r,
-            vector: self.est_vect.clone(),
-        });
-        self.ts = self.r;
-        self.ts_backing = Some(own.clone());
-        self.proposed = Some(own.clone());
-        self.sent_propose = true;
-        self.send_all(
+        let own = self.send_all(
             Core::Propose {
                 round: self.r,
                 vector: self.est_vect.clone(),
@@ -301,6 +291,10 @@ impl ByzantineChandraToueg {
             cert,
             ctx,
         );
+        self.ts = self.r;
+        self.ts_backing = Some(own.clone());
+        self.proposed = Some(own.clone());
+        self.sent_propose = true;
         // Phase 3, coordinator side: echo the own proposal.
         self.ack(own, ctx);
     }
@@ -309,23 +303,25 @@ impl ByzantineChandraToueg {
     /// ACK whose certificate is exactly that one item.
     fn ack(&mut self, propose: SignedCore, ctx: &mut Context<'_, Envelope, ValueVector>) {
         debug_assert!(!self.sent_ack && !self.sent_nack);
-        let core = Core::Ack {
-            round: self.r,
-            vector: self.est_vect.clone(),
-        };
-        self.vote_cert.insert(self.sign(core.clone()));
+        let own = self.send_all(
+            Core::Ack {
+                round: self.r,
+                vector: self.est_vect.clone(),
+            },
+            Certificate::from_items([propose]),
+            ctx,
+        );
+        self.vote_cert.insert(own);
         self.sent_ack = true;
-        self.send_all(core, Certificate::from_items([propose]), ctx);
         self.after_vote(ctx);
     }
 
     /// Phase 3, negative branch: the coordinator is suspected or faulty.
     fn nack(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
         debug_assert!(!self.sent_ack && !self.sent_nack);
-        let core = Core::Nack { round: self.r };
-        self.vote_cert.insert(self.sign(core.clone()));
+        let own = self.send_all(Core::Nack { round: self.r }, Certificate::new(), ctx);
+        self.vote_cert.insert(own);
         self.sent_nack = true;
-        self.send_all(core, Certificate::new(), ctx);
         self.after_vote(ctx);
     }
 

@@ -240,9 +240,10 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         self
     }
 
-    /// Enables checkpoint catch-up: a replica that receives traffic for a
-    /// slot it has already sealed replies with quorum-signed checkpoint
-    /// envelopes (at most `window` per reply, throttled per peer), and a
+    /// Enables checkpoint catch-up: a replica that receives a peer's
+    /// traffic for a slot it has already sealed replies with quorum-signed
+    /// checkpoint envelopes (at most `window` per reply, throttled per
+    /// peer; a stale DECIDE earns none, since its sender sealed too), and a
     /// replica receiving a checkpoint for its current slot verifies it
     /// with the full certificate analyzer and seals the slot from it.
     /// This is how a restarted replica rejoins a live cluster without
@@ -474,6 +475,12 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             return; // no per-slot certificates to back checkpoints
         }
         if self.catchup.is_none() {
+            return;
+        }
+        // Nobody would apply these replies: our own loopback copy, and a
+        // DECIDE, which proves its sender already sealed the slot. Both
+        // checks are free, so they run before the analyzer.
+        if from == self.me || msg.env.kind() == MessageKind::Decide {
             return;
         }
         if self.checker.check_envelope(&msg.env).is_err() {
@@ -861,13 +868,12 @@ mod tests {
     use ftm_certify::{Core, MessageCore, SignedCore};
     use ftm_sim::Context as RtContext;
 
-    /// A quorum-signed checkpoint for `slot` carrying the vector of
-    /// slot-`slot` commands, exactly as a sealed replica would emit it.
-    fn synthetic_checkpoint(
+    /// The vector of slot-`slot` commands and a quorum of round-1
+    /// CURRENT votes endorsing it — the evidence a slot decides on.
+    fn decided_quorum(
         setup: &crate::config::ProtocolSetup,
         slot: u64,
-        sender: ProcessId,
-    ) -> SlotMsg {
+    ) -> (ValueVector, Certificate) {
         let n = setup.resilience.n();
         let vect = ValueVector::from_entries(
             (0..n)
@@ -887,11 +893,23 @@ mod tests {
                 &setup.keys[p],
             )
         });
+        let cert = Certificate::from_items(votes);
+        (vect, cert)
+    }
+
+    /// A quorum-signed checkpoint for `slot` carrying the vector of
+    /// slot-`slot` commands, exactly as a sealed replica would emit it.
+    fn synthetic_checkpoint(
+        setup: &crate::config::ProtocolSetup,
+        slot: u64,
+        sender: ProcessId,
+    ) -> SlotMsg {
+        let (vect, votes) = decided_quorum(setup, slot);
         let env = make_checkpoint(
             ftm_certify::ProtocolId::HurfinRaynal,
             slot,
             &vect,
-            Certificate::from_items(votes),
+            votes,
             sender,
             &setup.keys[sender.index()],
         );
@@ -1002,6 +1020,62 @@ mod tests {
         assert_eq!(ctx.take_staged_sends().len(), 0, "repeats 1-15: throttled");
         Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
         assert_eq!(ctx.take_staged_sends().len(), 2, "16th repeat replies");
+    }
+
+    #[test]
+    fn stale_decides_and_own_traffic_earn_no_catchup_reply() {
+        let setup = ProtocolConfig::new(4, 1).seed(24).setup();
+        let mut log =
+            ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), 4, cmd).with_catchup(2);
+        let mut draw = || 0u64;
+        let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+        for k in [0, 1, 2] {
+            let msg = synthetic_checkpoint(&setup, k, ProcessId(1));
+            Actor::on_message(&mut log, ProcessId(1), &msg, &mut ctx);
+        }
+        assert_eq!(log.current, 3);
+        ctx.take_staged_sends();
+        let init_from = |p: u32| SlotMsg {
+            slot: 0,
+            env: Envelope::make(
+                ProcessId(p),
+                Core::Init { value: cmd(0, p) },
+                Certificate::default(),
+                &setup.keys[p as usize],
+            ),
+        };
+        // A laggard's well-certified DECIDE for slot 0: it passes the
+        // analyzer, but its sender has already sealed the slot.
+        let (vect, votes) = decided_quorum(&setup, 0);
+        let decide = SlotMsg {
+            slot: 0,
+            env: Envelope::make(
+                ProcessId(3),
+                Core::Decide {
+                    round: 1,
+                    vector: vect,
+                },
+                votes,
+                &setup.keys[3],
+            ),
+        };
+        log.checker
+            .check_envelope(&decide.env)
+            .expect("the stale DECIDE is authentic");
+        Actor::on_message(&mut log, ProcessId(3), &decide, &mut ctx);
+        assert_eq!(ctx.take_staged_sends().len(), 0, "stale DECIDE: no reply");
+        // The replica's own stale message, looped back.
+        Actor::on_message(&mut log, ProcessId(0), &init_from(0), &mut ctx);
+        assert_eq!(ctx.take_staged_sends().len(), 0, "own message: no reply");
+        // The laggard's stale INIT still earns its full window: the
+        // skipped DECIDE left the per-peer throttle untouched.
+        Actor::on_message(&mut log, ProcessId(3), &init_from(3), &mut ctx);
+        let sends = ctx.take_staged_sends();
+        assert_eq!(sends.len(), 2, "laggard INIT: window of checkpoints");
+        assert!(sends
+            .iter()
+            .all(|(to, reply)| *to == ProcessId(3) && reply.env.kind() == MessageKind::Checkpoint));
     }
 
     #[test]

@@ -127,13 +127,18 @@ impl ByzantineConsensus {
 
     /// Signs and broadcasts a message, mirroring the send path of Fig. 1
     /// (certification module appends `cert`, signature module signs).
+    /// Returns the broadcast signed core, so a local certificate can hold
+    /// the own vote without signing it a second time.
     fn send_all(
         &self,
         core: Core,
         cert: Certificate,
         ctx: &mut Context<'_, Envelope, ValueVector>,
-    ) {
-        ctx.broadcast(Envelope::make(self.me, core, cert, &self.keys));
+    ) -> SignedCore {
+        let env = Envelope::make(self.me, core, cert, &self.keys);
+        let signed = env.signed.clone();
+        ctx.broadcast(env);
+        signed
     }
 
     /// The paper's certificate-derived state expression (§5.1) — asserted
@@ -200,14 +205,9 @@ impl ByzantineConsensus {
     /// expressed over certificates.
     fn vote_next(&mut self, cert: Certificate, ctx: &mut Context<'_, Envelope, ValueVector>) {
         debug_assert!(!self.sent_next, "double NEXT would convict us");
-        let core = Core::Next { round: self.r };
-        let own = SignedCore::sign(
-            ftm_certify::MessageCore::new(self.me, core.clone()),
-            &self.keys,
-        );
+        let own = self.send_all(Core::Next { round: self.r }, cert, ctx);
         self.next_cert.insert(own);
         self.sent_next = true;
-        self.send_all(core, cert, ctx);
         debug_assert_eq!(self.derived_state(), PaperState::Q2);
     }
 

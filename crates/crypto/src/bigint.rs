@@ -411,6 +411,10 @@ impl BigUint {
 
     /// Modular exponentiation: `self^exp mod m` via square-and-multiply.
     ///
+    /// Odd moduli (every RSA modulus and Miller–Rabin candidate) take the
+    /// Montgomery path, which allocates only once per call; even moduli
+    /// fall back to multiply-then-divide.
+    ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
@@ -418,6 +422,9 @@ impl BigUint {
         assert!(!m.is_zero(), "modpow with zero modulus");
         if m == &BigUint::one() {
             return BigUint::zero();
+        }
+        if m.is_odd() {
+            return Montgomery::new(m).pow(self, exp);
         }
         let mut result = BigUint::one();
         let mut base = self.rem(m);
@@ -528,6 +535,109 @@ impl BigUint {
                 return candidate;
             }
         }
+    }
+}
+
+/// Montgomery arithmetic modulo an odd `m` of `k` limbs, with
+/// `R = 2^(64k)`: residues are kept as `aR mod m` in fixed `k`-limb
+/// buffers, and a product is reduced by the word-serial CIOS method
+/// (Koç–Acar–Kaliski), so no step of an exponentiation allocates.
+struct Montgomery<'a> {
+    m: &'a BigUint,
+    /// `-m⁻¹ mod 2⁶⁴`.
+    m_neg_inv: u64,
+}
+
+impl<'a> Montgomery<'a> {
+    fn new(m: &'a BigUint) -> Self {
+        debug_assert!(m.is_odd());
+        let m0 = m.limbs[0];
+        // Newton–Hensel lifting: each step doubles the correct low bits
+        // of m0⁻¹ (1 → 64 in six steps; odd m0 is its own inverse mod 2).
+        let mut inv: u64 = 1;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+        }
+        Montgomery {
+            m,
+            m_neg_inv: inv.wrapping_neg(),
+        }
+    }
+
+    /// `x·R mod m` as exactly `k` limbs.
+    fn to_form(&self, x: &BigUint) -> Vec<u64> {
+        let k = self.m.limbs.len();
+        let mut limbs = x.shl(64 * k).rem(self.m).limbs;
+        limbs.resize(k, 0);
+        limbs
+    }
+
+    /// `out = a·b·R⁻¹ mod m` for `a, b < m`; `t` is `k + 2` limbs of
+    /// scratch.
+    fn mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
+        let m = &self.m.limbs;
+        let k = m.len();
+        t.fill(0);
+        for &ai in a {
+            // t += ai·b
+            let mut carry: u64 = 0;
+            for (tj, &bj) in t.iter_mut().zip(b) {
+                let s = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+                *tj = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let s = t[k] as u128 + carry as u128;
+            t[k] = s as u64;
+            t[k + 1] = (s >> 64) as u64;
+            // t = (t + u·m) / 2⁶⁴ with u chosen so the low limb cancels.
+            let u = t[0].wrapping_mul(self.m_neg_inv);
+            let s = t[0] as u128 + u as u128 * m[0] as u128;
+            let mut carry = (s >> 64) as u64;
+            for j in 1..k {
+                let s = t[j] as u128 + u as u128 * m[j] as u128 + carry as u128;
+                t[j - 1] = s as u64;
+                carry = (s >> 64) as u64;
+            }
+            let s = t[k] as u128 + carry as u128;
+            t[k - 1] = s as u64;
+            t[k] = t[k + 1] + (s >> 64) as u64;
+        }
+        // t < 2m: one conditional subtraction lands in [0, m).
+        if t[k] != 0 || t[..k].iter().rev().ge(m.iter().rev()) {
+            let mut borrow = false;
+            for ((o, &tj), &mj) in out.iter_mut().zip(&t[..k]).zip(m) {
+                let (d1, b1) = tj.overflowing_sub(mj);
+                let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                *o = d2;
+                borrow = b1 | b2;
+            }
+        } else {
+            out.copy_from_slice(&t[..k]);
+        }
+    }
+
+    /// `base^exp mod m`, left-to-right binary.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let k = self.m.limbs.len();
+        let mut one = vec![0u64; k];
+        one[0] = 1;
+        let b = self.to_form(base);
+        let mut acc = self.to_form(&BigUint::one());
+        let mut tmp = vec![0u64; k];
+        let mut t = vec![0u64; k + 2];
+        for i in (0..exp.bits()).rev() {
+            self.mul(&acc, &acc, &mut t, &mut tmp);
+            std::mem::swap(&mut acc, &mut tmp);
+            if exp.bit(i) {
+                self.mul(&acc, &b, &mut t, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        // Leave Montgomery form: multiply by plain 1.
+        self.mul(&acc, &one, &mut t, &mut tmp);
+        let mut n = BigUint { limbs: tmp };
+        n.normalize();
+        n
     }
 }
 
@@ -824,6 +934,84 @@ mod tests {
                 };
                 let got = BigUint::from(a).modpow(&BigUint::from(e as u64), &BigUint::from(m));
                 assert_eq!(got, BigUint::from(expected), "case {i}: a={a} e={e} m={m}");
+            }
+        }
+
+        /// Reference exponentiation: the multiply-then-divide loop the
+        /// Montgomery path replaced for odd moduli.
+        fn naive_modpow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+            let mut result = BigUint::one().rem(m);
+            let mut base = base.rem(m);
+            for i in 0..exp.bits() {
+                if exp.bit(i) {
+                    result = result.mul(&base).rem(m);
+                }
+                base = base.mul(&base).rem(m);
+            }
+            result
+        }
+
+        fn random_limbs(rng: &mut SplitMix64, n: usize) -> BigUint {
+            let mut x = BigUint {
+                limbs: (0..n).map(|_| rng.next_u64()).collect(),
+            };
+            x.normalize();
+            x
+        }
+
+        #[test]
+        fn montgomery_modpow_matches_naive_on_odd_moduli() {
+            let mut rng = SplitMix64::from_seed(0xB168);
+            for i in 0..400 {
+                let k = 1 + (rng.next_u64() % 8) as usize;
+                let mut m = random_limbs(&mut rng, k);
+                m.limbs.resize(k, 0);
+                m.limbs[0] |= 1;
+                // Every eighth modulus is all-ones limbs (2^64k − 1).
+                if i % 8 == 0 {
+                    m.limbs.iter_mut().for_each(|l| *l = u64::MAX);
+                }
+                m.normalize();
+                // Bases above the modulus, up to twice its width.
+                let base_limbs = 1 + (rng.next_u64() % (2 * k as u64)) as usize;
+                let base = random_limbs(&mut rng, base_limbs);
+                let exp_limbs = 1 + (rng.next_u64() % 3) as usize;
+                let exp = match i % 5 {
+                    0 => BigUint::zero(),
+                    1 => BigUint::one(),
+                    _ => random_limbs(&mut rng, exp_limbs),
+                };
+                assert_eq!(
+                    base.modpow(&exp, &m),
+                    naive_modpow(&base, &exp, &m),
+                    "case {i}: base={base:?} exp={exp:?} m={m:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn montgomery_modpow_edge_cases() {
+            let ones = |k: usize| BigUint {
+                limbs: vec![u64::MAX; k],
+            };
+            for k in 1..=8 {
+                let m = ones(k);
+                let cases = [
+                    (BigUint::zero(), ones(k)),
+                    (m.clone(), BigUint::from(3u64)),
+                    (m.sub(&BigUint::one()), BigUint::from(2u64)),
+                    (m.add(&BigUint::from(5u64)), ones(k)),
+                    (ones(2 * k), ones(k)),
+                ];
+                for (base, exp) in &cases {
+                    assert_eq!(
+                        base.modpow(exp, &m),
+                        naive_modpow(base, exp, &m),
+                        "k={k} base={base:?} exp={exp:?}"
+                    );
+                    assert_eq!(base.modpow(&BigUint::zero(), &m), BigUint::one());
+                    assert_eq!(base.modpow(exp, &BigUint::one()), BigUint::zero());
+                }
             }
         }
     }

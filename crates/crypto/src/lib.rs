@@ -24,7 +24,7 @@
 //!
 //! # Security disclaimer
 //!
-//! Key sizes default to 256-bit moduli so that simulations involving tens of
+//! Protocol setups use 128-bit moduli so that simulations involving tens of
 //! thousands of signatures stay fast. That is **not** cryptographically
 //! strong against a real attacker; it is unforgeable *within the simulation*,
 //! where the adversary is a protocol-level Byzantine process that does not

@@ -6,9 +6,12 @@
 //! digest embedded via a deterministic full-domain-style pad, which is
 //! unforgeable against the simulation's protocol-level adversary.
 //!
-//! Key widths default to 256 bits (see the crate-level security
-//! disclaimer); the `rsa` bench measures sign/verify cost per
-//! width so the transformation-overhead experiment (E6) can report it.
+//! Protocol setups use 128-bit moduli (`ProtocolConfig` in `ftm-core`;
+//! see the crate-level security disclaimer). Signing and verifying are
+//! each one [`BigUint::modpow`], which runs in Montgomery form for these
+//! odd moduli. `cargo bench -p ftm-bench --bench rsa` times sign, verify
+//! and key generation per width, and the gated `signatures/sign` row of
+//! the `ftm-bench` suite watches the signing kernel.
 
 use crate::prng::Rng64;
 
@@ -253,6 +256,37 @@ mod tests {
     #[test]
     fn distinct_seeds_distinct_keys() {
         assert_ne!(keys(8).public(), keys(9).public());
+    }
+
+    /// Keys and signatures pinned to the values the multiply-then-divide
+    /// `modpow` produced: the exponentiation kernel may change, the bytes
+    /// may not.
+    #[test]
+    fn golden_keys_and_signatures() {
+        let golden = [
+            (
+                128usize,
+                "0xb170dcf59e45ab11c7c8ffeeae22b4c3",
+                "0x30a00cb53477c40e87b25e7fcdb499b9",
+                "0x80daa98ce1f2766a88d58ac0eb14bf53",
+            ),
+            (
+                256,
+                "0xaae1bb362d5ee2caeb5778062804ce7785cd69f34d0ad09fe062d7ae73b8bcdd",
+                "0x3da349cbab86efe881065e815dfb09dbe530aa9671ecc68016efff6c6d733823",
+                "0x7b85237626c52ef8056b759767816acfc09eaa11b868cc3601bf50d0864b5183",
+            ),
+        ];
+        for (bits, n, d, sig) in golden {
+            let mut rng = crate::rng_from_seed(0x601d);
+            let kp = KeyPair::generate(&mut rng, bits);
+            let digest = Sha256::digest(b"golden");
+            let s = kp.sign_digest(&digest);
+            assert_eq!(kp.public.n.to_string(), n, "{bits}-bit modulus");
+            assert_eq!(kp.d.to_string(), d, "{bits}-bit private exponent");
+            assert_eq!(s.0.to_string(), sig, "{bits}-bit signature");
+            assert!(kp.public().verify_digest(&digest, &s));
+        }
     }
 
     #[test]

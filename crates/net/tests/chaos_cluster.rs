@@ -299,12 +299,13 @@ fn slow_client_is_cut_by_backpressure_not_the_peers() {
                 watch.store(slot + 1, Ordering::Relaxed);
             });
         }
-        handles.push(spawn_node(
-            chaos_cfg(me, &addrs, SEED),
-            listener,
-            Box::new(actor),
-            |_, _, _| ServiceReply::reply(vec![0u8; REPLY_BYTES]),
-        ));
+        // Replica 0 serves the slow client, so it must outlive the flood:
+        // it keeps running after its log halts until it is stopped below.
+        let mut cfg = chaos_cfg(me, &addrs, SEED);
+        cfg.exit_on_halt = i != 0;
+        handles.push(spawn_node(cfg, listener, Box::new(actor), |_, _, _| {
+            ServiceReply::reply(vec![0u8; REPLY_BYTES])
+        }));
     }
 
     wait_until("the cluster to go live", || {
@@ -327,6 +328,10 @@ fn slow_client_is_cut_by_backpressure_not_the_peers() {
         }
         thread::sleep(Duration::from_millis(5));
     }
+    wait_until("replica 0 to seal its log", || {
+        progress.load(Ordering::Relaxed) >= SLOTS
+    });
+    handles[0].stop();
 
     let reports: Vec<_> = handles
         .into_iter()
