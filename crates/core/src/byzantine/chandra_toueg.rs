@@ -1,6 +1,6 @@
-//! Event-driven rendering of the transformed Chandra–Toueg protocol: the
-//! crash-model ◇S protocol of [`crate::crash::chandra_toueg`] pushed
-//! through the same module stack as the Hurfin–Raynal instance.
+//! Chandra–Toueg as a round module: the crash-model ◇S protocol of
+//! [`crate::crash::chandra_toueg`] hosted by the same transformed-process
+//! shell ([`crate::transform::shell`]) as the Hurfin–Raynal instance.
 //!
 //! The round discipline is CT's four-phase pattern, made auditable:
 //!
@@ -26,29 +26,16 @@
 //! portion). Messages are broadcast — every process audits every step,
 //! exactly as in the transformed HR instance.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-use ftm_certify::vector::VectorBuilder;
 use ftm_certify::{
-    Certificate, Core, Envelope, MessageKind, ProtocolId, Round, SignedCore, Value, ValueVector,
+    Certificate, Core, Envelope, MessageKind, ProtocolId, Round, SignedCore, ValueVector,
 };
-use ftm_crypto::rsa::KeyPair;
-use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
+use ftm_sim::{Context, ProcessId};
 
-use crate::config::ProtocolSetup;
 use crate::spec::Resilience;
-use crate::transform::{Admit, ModuleStack};
-
-const POLL_TIMER: TimerTag = 1;
-
-/// Which part of the protocol the process is executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Collecting `n − F` INITs (vector certification).
-    VectorCert,
-    /// The round loop.
-    Rounds,
-}
+use crate::transform::shell::{RoundModule, Shell, Step, Transformed};
 
 /// One process of the transformed Chandra–Toueg protocol.
 ///
@@ -66,18 +53,12 @@ enum Phase {
 /// .run();
 /// assert!(report.all_decided());
 /// ```
+pub type ByzantineChandraToueg = Transformed<CtRounds>;
+
+/// The Chandra–Toueg round state and rules (phases 1–4).
 #[derive(Debug)]
-pub struct ByzantineChandraToueg {
+pub struct CtRounds {
     res: Resilience,
-    me: ProcessId,
-    value: Value,
-    keys: KeyPair,
-    stack: ModuleStack,
-    poll_interval: Duration,
-    phase: Phase,
-    // Vector-certification phase.
-    builder: Option<VectorBuilder>,
-    // Round state.
     r: Round,
     est_vect: ValueVector,
     /// INIT backing of `est_vect` (the vector-certification portion).
@@ -99,59 +80,9 @@ pub struct ByzantineChandraToueg {
     sent_propose: bool,
     sent_ack: bool,
     sent_nack: bool,
-    buffered: Vec<(ProcessId, Envelope)>,
-    decided: bool,
-    /// The decide-vote quorum (ACK items) this decision rests on, kept
-    /// after halting so the log layer can compact it into a checkpoint
-    /// (see `ftm_certify::checkpoint`).
-    decide_evidence: Option<Certificate>,
 }
 
-impl ByzantineChandraToueg {
-    /// Creates a process proposing `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` has no key pair in `setup`.
-    pub fn new(setup: &ProtocolSetup, me: ProcessId, value: Value) -> Self {
-        let res = setup.resilience;
-        ByzantineChandraToueg {
-            res,
-            me,
-            value,
-            keys: setup.keys[me.index()].clone(),
-            stack: ModuleStack::for_setup(ProtocolId::ChandraToueg, setup),
-            poll_interval: setup.config.poll_interval,
-            phase: Phase::VectorCert,
-            builder: Some(VectorBuilder::new(res.n(), res.f())),
-            r: 0,
-            est_vect: ValueVector::empty(res.n()),
-            est_cert: Certificate::new(),
-            ts: 0,
-            ts_backing: None,
-            estimates: Vec::new(),
-            vote_cert: Certificate::new(),
-            entry_cert: Certificate::new(),
-            proposed: None,
-            sent_propose: false,
-            sent_ack: false,
-            sent_nack: false,
-            buffered: Vec::new(),
-            decided: false,
-            decide_evidence: None,
-        }
-    }
-
-    /// Read access to the module stack (evidence logs, detector state).
-    pub fn stack(&self) -> &ModuleStack {
-        &self.stack
-    }
-
-    /// The ACK quorum backing this process's decision, once decided.
-    pub fn decide_evidence(&self) -> Option<&Certificate> {
-        self.decide_evidence.as_ref()
-    }
-
+impl CtRounds {
     fn quorum(&self) -> usize {
         self.res.quorum()
     }
@@ -160,122 +91,24 @@ impl ByzantineChandraToueg {
         ProcessId(self.res.coordinator(self.r) as u32)
     }
 
-    /// Signs and broadcasts a message (the transformed send path: the
-    /// certification module appends `cert`, the signature module signs).
-    /// Returns the broadcast signed core for callers whose own message
-    /// must join a local certificate before the broadcast copy
-    /// self-delivers (the certificate deduplicates the two).
-    fn send_all(
-        &self,
-        core: Core,
-        cert: Certificate,
-        ctx: &mut Context<'_, Envelope, ValueVector>,
-    ) -> SignedCore {
-        let env = Envelope::make(self.me, core, cert, &self.keys);
-        let signed = env.signed.clone();
-        ctx.broadcast(env);
-        signed
-    }
-
-    /// Phase 1: open round `r + 1` with the mandatory ESTIMATE broadcast.
-    fn begin_round(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        // The ACK/NACK quorum that ended the previous round becomes the
-        // round-entry evidence for this one.
-        self.entry_cert = std::mem::take(&mut self.vote_cert);
-        self.r += 1;
-        self.estimates.clear();
-        self.proposed = None;
-        self.sent_propose = false;
-        self.sent_ack = false;
-        self.sent_nack = false;
-        self.stack.enter_round(self.r, ctx.now());
-        ctx.note(format!("round={}", self.r));
-        // Per-round stack snapshot (last note per process wins in the
-        // harness) — see `ByzantineConsensus::begin_round`.
-        ctx.note(self.stack.stats_note());
-        let mut cert = self.est_cert.union(&self.entry_cert);
-        if let Some(backing) = &self.ts_backing {
-            cert.insert(backing.clone());
-        }
-        self.send_all(
-            Core::Estimate {
-                round: self.r,
-                vector: self.est_vect.clone(),
-                ts: self.ts,
-            },
-            cert,
-            ctx,
-        );
-        self.drain_buffer(ctx);
-    }
-
-    fn drain_buffer(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        loop {
-            if self.decided {
-                return;
-            }
-            let r = self.r;
-            let Some(pos) = self
-                .buffered
-                .iter()
-                .position(|(_, env)| env.round() == r && env.kind() != MessageKind::Init)
-            else {
-                return;
-            };
-            let (from, env) = self.buffered.remove(pos);
-            self.handle_admitted(from, env, ctx);
-        }
-    }
-
-    /// Decide, relay, stop (the reliable-broadcast echo of CT's phase 4).
-    fn decide(
-        &mut self,
-        round: Round,
-        vector: ValueVector,
-        cert: Certificate,
-        ctx: &mut Context<'_, Envelope, ValueVector>,
-    ) {
-        self.decided = true;
-        self.decide_evidence = Some(cert.clone());
-        self.send_all(
-            Core::Decide {
-                round,
-                vector: vector.clone(),
-            },
-            cert,
-            ctx,
-        );
-        ctx.note(self.stack.stats_note());
-        ctx.decide(vector);
-        ctx.halt();
-    }
-
-    /// Phase 2: the coordinator adopts a maximum-timestamp estimate from
-    /// its quorum and broadcasts the proposal, then echoes its own ACK.
-    fn propose(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    /// Phase 2: the coordinator adopts the first maximum-timestamp
+    /// estimate of its quorum and broadcasts the proposal, then echoes its
+    /// own ACK.
+    fn propose(&mut self, sh: &Shell, ctx: &mut Context<'_, Envelope, ValueVector>) -> Step {
         debug_assert!(!self.sent_propose);
-        let max_ts = self
+        let adopted = self
             .estimates
             .iter()
             .filter_map(|e| match e.core() {
-                Core::Estimate { ts, .. } => Some(*ts),
+                Core::Estimate { vector, ts, .. } => Some((Reverse(*ts), vector, &e.cert)),
                 _ => None,
             })
-            .max()
-            .unwrap_or(0);
-        let Some(adopted) = self
-            .estimates
-            .iter()
-            .find(|e| matches!(e.core(), Core::Estimate { ts, .. } if *ts == max_ts))
-            .cloned()
-        else {
-            return; // propose() only fires on a nonempty estimate quorum
-        };
-        let Core::Estimate { vector, .. } = adopted.core() else {
-            unreachable!("estimates holds only ESTIMATE envelopes");
+            .min_by_key(|(ts, ..)| *ts);
+        let Some((_, vector, backing)) = adopted else {
+            return Step::Stay; // propose() only fires on a nonempty estimate quorum
         };
         self.est_vect = vector.clone();
-        self.est_cert = adopted.cert.init_portion();
+        self.est_cert = backing.init_portion();
         // The proposal's certificate: the estimate quorum (the analyzer
         // re-derives the max-ts adoption from it) plus the adopted
         // vector's INIT backing.
@@ -283,7 +116,7 @@ impl ByzantineChandraToueg {
         for e in &self.estimates {
             cert.insert(e.signed.clone());
         }
-        let own = self.send_all(
+        let own = sh.send_all(
             Core::Propose {
                 round: self.r,
                 vector: self.est_vect.clone(),
@@ -296,14 +129,19 @@ impl ByzantineChandraToueg {
         self.proposed = Some(own.clone());
         self.sent_propose = true;
         // Phase 3, coordinator side: echo the own proposal.
-        self.ack(own, ctx);
+        self.ack(sh, own, ctx)
     }
 
     /// Phase 3: echo `propose` (the coordinator's signed PROPOSE) with an
     /// ACK whose certificate is exactly that one item.
-    fn ack(&mut self, propose: SignedCore, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    fn ack(
+        &mut self,
+        sh: &Shell,
+        propose: SignedCore,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) -> Step {
         debug_assert!(!self.sent_ack && !self.sent_nack);
-        let own = self.send_all(
+        let own = sh.send_all(
             Core::Ack {
                 round: self.r,
                 vector: self.est_vect.clone(),
@@ -313,16 +151,16 @@ impl ByzantineChandraToueg {
         );
         self.vote_cert.insert(own);
         self.sent_ack = true;
-        self.after_vote(ctx);
+        self.after_vote()
     }
 
     /// Phase 3, negative branch: the coordinator is suspected or faulty.
-    fn nack(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    fn nack(&mut self, sh: &Shell, ctx: &mut Context<'_, Envelope, ValueVector>) -> Step {
         debug_assert!(!self.sent_ack && !self.sent_nack);
-        let own = self.send_all(Core::Nack { round: self.r }, Certificate::new(), ctx);
+        let own = sh.send_all(Core::Nack { round: self.r }, Certificate::new(), ctx);
         self.vote_cert.insert(own);
         self.sent_nack = true;
-        self.after_vote(ctx);
+        self.after_vote()
     }
 
     /// The round-`r` ACK items endorsing exactly one vector, if any vector
@@ -351,261 +189,139 @@ impl ByzantineChandraToueg {
     /// Phase 4 checks after every recorded vote: decide on an ACK quorum,
     /// or advance the round once a full vote quorum shows it cannot decide
     /// at this process anymore.
-    fn after_vote(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        if self.decided {
-            return;
-        }
+    fn after_vote(&self) -> Step {
         if let Some((vector, matching)) = self.ack_quorum() {
-            self.decide(self.r, vector, matching, ctx);
-            return;
+            return Step::Decide(vector, matching);
         }
         if self.vote_cert.ct_votes(self.r).len() >= self.quorum() {
-            self.begin_round(ctx);
+            return Step::NextRound;
+        }
+        Step::Stay
+    }
+}
+
+impl RoundModule for CtRounds {
+    const ID: ProtocolId = ProtocolId::ChandraToueg;
+
+    fn new(res: Resilience) -> Self {
+        CtRounds {
+            res,
+            r: 0,
+            est_vect: ValueVector::empty(res.n()),
+            est_cert: Certificate::new(),
+            ts: 0,
+            ts_backing: None,
+            estimates: Vec::new(),
+            vote_cert: Certificate::new(),
+            entry_cert: Certificate::new(),
+            proposed: None,
+            sent_propose: false,
+            sent_ack: false,
+            sent_nack: false,
         }
     }
 
-    fn handle_admitted(
+    fn round(&self) -> Round {
+        self.r
+    }
+
+    fn start(&mut self, vect: ValueVector, cert: Certificate) {
+        self.est_vect = vect;
+        self.est_cert = cert;
+    }
+
+    fn advance(&mut self) {
+        // The ACK/NACK quorum that ended the previous round becomes the
+        // round-entry evidence for this one.
+        self.entry_cert = std::mem::take(&mut self.vote_cert);
+        self.r += 1;
+        self.estimates.clear();
+        self.proposed = None;
+        self.sent_propose = false;
+        self.sent_ack = false;
+        self.sent_nack = false;
+    }
+
+    /// Phase 1: open the round with the mandatory ESTIMATE broadcast.
+    fn open_round(&mut self, sh: &Shell, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        let mut cert = self.est_cert.union(&self.entry_cert);
+        if let Some(backing) = &self.ts_backing {
+            cert.insert(backing.clone());
+        }
+        sh.send_all(
+            Core::Estimate {
+                round: self.r,
+                vector: self.est_vect.clone(),
+                ts: self.ts,
+            },
+            cert,
+            ctx,
+        );
+    }
+
+    fn deliver(
         &mut self,
+        sh: &Shell,
         from: ProcessId,
         env: Envelope,
         ctx: &mut Context<'_, Envelope, ValueVector>,
-    ) {
-        match env.core().clone() {
-            Core::Init { .. } => {
-                if self.phase != Phase::VectorCert {
-                    return; // late INIT beyond the n − F we waited for
-                }
-                let Some(builder) = self.builder.as_mut() else {
-                    return; // VectorCert phase always carries a live builder
-                };
-                builder.absorb(&env);
-                if builder.complete() {
-                    let Some(done) = self.builder.take() else {
-                        return;
-                    };
-                    let (vect, cert) = done.finish();
-                    self.est_vect = vect;
-                    self.est_cert = cert;
-                    self.phase = Phase::Rounds;
-                    ctx.note(format!("vector-certified vect={:?}", self.est_vect));
-                    self.begin_round(ctx);
-                }
-            }
-            Core::Estimate { round, .. } => {
-                if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
-                    return;
-                }
-                if round < self.r {
-                    return; // stale estimate, discarded
-                }
+    ) -> Step {
+        match env.core() {
+            Core::Estimate { .. } => {
                 if self.estimates.iter().any(|e| e.sender() == from) {
-                    return; // the stack already convicts duplicates
+                    return Step::Stay; // the stack already convicts duplicates
                 }
                 self.estimates.push(env);
-                if self.me == self.coordinator()
+                if sh.me == self.coordinator()
                     && !self.sent_propose
                     && self.estimates.len() >= self.quorum()
                 {
-                    self.propose(ctx);
+                    return self.propose(sh, ctx);
                 }
+                Step::Stay
             }
-            Core::Propose { round, .. } => {
-                if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
-                    return;
-                }
-                if round < self.r {
-                    return;
-                }
+            Core::Propose { vector, .. } => {
                 // The analyzer admitted it, so `from` is the coordinator.
                 if self.proposed.is_none() {
                     self.proposed = Some(env.signed.clone());
                 }
-                if self.sent_ack || self.sent_nack || self.me == self.coordinator() {
-                    return; // already voted (or it is our own echo)
+                if self.sent_ack || self.sent_nack || sh.me == self.coordinator() {
+                    return Step::Stay; // already voted (or it is our own echo)
                 }
                 // Adopt the proposal and echo it.
-                if let Core::Propose { vector, .. } = env.core() {
-                    self.est_vect = vector.clone();
-                    self.est_cert = env.cert.init_portion();
-                    self.ts = self.r;
-                    self.ts_backing = Some(env.signed.clone());
-                }
-                self.ack(env.signed.clone(), ctx);
+                self.est_vect = vector.clone();
+                self.est_cert = env.cert.init_portion();
+                self.ts = self.r;
+                self.ts_backing = Some(env.signed.clone());
+                self.ack(sh, env.signed.clone(), ctx)
             }
-            Core::Ack { round, .. } | Core::Nack { round } => {
-                if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
-                    return;
-                }
-                if round < self.r {
-                    return;
-                }
+            Core::Ack { .. } | Core::Nack { .. } => {
                 self.vote_cert.insert(env.signed.clone());
-                self.after_vote(ctx);
+                self.after_vote()
             }
-            Core::Decide { round, vector } => {
-                // Relay with the same certificate and decide.
-                self.decide(round, vector, env.cert.clone(), ctx);
-            }
-            Core::Current { .. } | Core::Next { .. } => {
+            _ => {
                 // Hurfin–Raynal kinds: the observer convicts them as
                 // outside Chandra–Toueg's alphabet before admission.
                 debug_assert!(false, "CT stack admitted an HR-kind message");
-            }
-            Core::Checkpoint { .. } => {
-                // Log-layer compaction metadata: valid (the analyzer
-                // audited its quorum), but a single consensus instance has
-                // nothing to do with it — slot retention is the
-                // `ReplicatedLog`'s business.
-            }
-        }
-    }
-}
-
-impl Actor for ByzantineChandraToueg {
-    type Msg = Envelope;
-    type Decision = ValueVector;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        self.send_all(Core::Init { value: self.value }, Certificate::new(), ctx);
-        ctx.set_timer(self.poll_interval, POLL_TIMER);
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        env: &Envelope,
-        ctx: &mut Context<'_, Envelope, ValueVector>,
-    ) {
-        if self.decided {
-            return;
-        }
-        let was_faulty = self.stack.is_faulty(env.sender());
-        match self.stack.admit(from, env, ctx.now()) {
-            Admit::Accepted(_trigger) => self.handle_admitted(from, env.clone(), ctx),
-            Admit::Discarded(e) => {
-                // Quarantine drops (peer already convicted) are not fresh
-                // detections — see `ByzantineConsensus::on_message`.
-                if !was_faulty {
-                    ctx.note(format!(
-                        "detected={} class={} reason={}",
-                        e.culprit, e.class, e.reason
-                    ));
-                } else {
-                    self.stack.record_quarantine();
-                }
+                Step::Stay
             }
         }
     }
 
-    fn on_timer(&mut self, _tag: TimerTag, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        if self.decided {
-            return;
-        }
+    fn on_poll(&mut self, sh: &mut Shell, ctx: &mut Context<'_, Envelope, ValueVector>) -> Step {
         // CT's phase-3 escape hatch, with the transformed guard:
         // upon p_c ∈ (suspected ∪ faulty) while awaiting the proposal.
-        if self.phase == Phase::Rounds
-            && self.me != self.coordinator()
+        if sh.me != self.coordinator()
             && self.proposed.is_none()
             && !self.sent_ack
             && !self.sent_nack
         {
             let coord = self.coordinator();
-            if self.stack.suspected_or_faulty(coord, ctx.now()) {
+            if sh.stack.suspected_or_faulty(coord, ctx.now()) {
                 ctx.note(format!("suspect={} r={}", coord, self.r));
-                self.nack(ctx);
+                return self.nack(sh, ctx);
             }
         }
-        ctx.set_timer(self.poll_interval, POLL_TIMER);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::ProtocolConfig;
-    use ftm_sim::{RunReport, SimConfig, Simulation, VirtualTime};
-
-    fn run(n: usize, f: usize, seed: u64, crashes: &[(usize, u64)]) -> RunReport<ValueVector> {
-        let setup = ProtocolConfig::new(n, f).seed(seed).setup();
-        let mut cfg = SimConfig::new(n).seed(seed);
-        for &(p, t) in crashes {
-            cfg = cfg.crash(p, VirtualTime::at(t));
-        }
-        Simulation::build_boxed(cfg, |id| {
-            Box::new(ByzantineChandraToueg::new(&setup, id, 100 + id.0 as u64))
-        })
-        .run()
-    }
-
-    #[test]
-    fn all_honest_processes_decide_the_same_vector() {
-        let report = run(4, 1, 1, &[]);
-        assert!(report.all_decided(), "stop={:?}", report.stop);
-        let vect = report.unanimous().expect("agreement");
-        assert!(vect.non_null_count() >= 3);
-        for (k, v) in vect.iter_set() {
-            assert_eq!(v, 100 + k as u64);
-        }
-    }
-
-    #[test]
-    fn agreement_across_seeds() {
-        for seed in 0..15 {
-            let report = run(4, 1, seed, &[]);
-            assert!(report.all_decided(), "seed {seed} stop={:?}", report.stop);
-            assert!(report.unanimous().is_some(), "seed {seed}");
-            assert!(report.contradictions.is_empty(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn crash_of_coordinator_is_survived() {
-        // p0 coordinates round 1; its muteness forces a NACK round.
-        let report = run(4, 1, 7, &[(0, 0)]);
-        assert!(report.all_decided(), "stop={:?}", report.stop);
-        let vect = report.unanimous().expect("agreement among survivors");
-        assert_eq!(vect.get(0), None);
-        assert!(vect.non_null_count() >= 3);
-    }
-
-    #[test]
-    fn crash_mid_protocol_is_survived() {
-        for seed in 0..10 {
-            let report = run(5, 2, seed, &[(1, 60)]);
-            assert!(report.all_decided(), "seed {seed} stop={:?}", report.stop);
-            assert!(report.unanimous().is_some(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn larger_system_still_decides() {
-        let report = run(7, 3, 2, &[]);
-        assert!(report.all_decided(), "stop={:?}", report.stop);
-        let vect = report.unanimous().expect("agreement");
-        assert!(vect.non_null_count() >= 4); // n − F
-    }
-
-    #[test]
-    fn no_honest_process_is_ever_convicted() {
-        let report = run(5, 2, 3, &[]);
-        assert!(report.all_decided());
-        for p in 0..5u32 {
-            let notes = report.trace.notes_of(ProcessId(p));
-            assert!(
-                notes.iter().all(|n| !n.starts_with("detected=")),
-                "p{p} convicted someone in an all-honest run: {notes:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn three_processes_one_fault_works() {
-        let report = run(3, 1, 4, &[(2, 0)]);
-        assert!(report.all_decided(), "stop={:?}", report.stop);
-        let vect = report.unanimous().expect("agreement");
-        assert!(vect.non_null_count() >= 2);
+        Step::Stay
     }
 }

@@ -275,19 +275,17 @@ impl<FD: FailureDetector> ChandraToueg<FD> {
                 ctx.send(self.coordinator(), CtMsg::Ack { round: self.r, est });
                 self.begin_round(ctx);
             }
-            CtMsg::Ack { .. } => {
-                if self.phase == Phase::CollectAcks {
-                    self.acks.insert(from);
-                    self.check_acks(ctx);
-                }
+            CtMsg::Ack { .. } if self.phase == Phase::CollectAcks => {
+                self.acks.insert(from);
+                self.check_acks(ctx);
             }
-            CtMsg::Nack { .. } => {
-                if self.phase == Phase::CollectAcks {
-                    self.nacks.insert(from);
-                    self.check_acks(ctx);
-                }
+            CtMsg::Nack { .. } if self.phase == Phase::CollectAcks => {
+                self.nacks.insert(from);
+                self.check_acks(ctx);
             }
-            _ => unreachable!("handle_current only takes round messages"),
+            // Stray votes outside CollectAcks, and anything that is not a
+            // round message, are dropped.
+            _ => {}
         }
     }
 

@@ -216,7 +216,7 @@ impl<FD: FailureDetector> CrashConsensus<FD> {
                 self.nb_next += 1;
                 self.rec_from.insert(from);
             }
-            _ => unreachable!("handle_vote only takes votes"),
+            _ => return, // handle_vote only takes votes: drop anything else
         }
         // Line 15: upon change_mind.
         if self.change_mind() {

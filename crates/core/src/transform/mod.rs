@@ -31,13 +31,17 @@
 //!
 //! [`stack::ModuleStack`] packages modules 1–3 into a single receive
 //! pipeline reusable by any protocol whose wire format is
-//! [`ftm_certify::Envelope`]; the certification discipline (4–5) is
-//! necessarily protocol-specific — the paper is explicit that certificate
-//! *design* depends on the protocol being transformed, while the *method*
-//! (witness values, witness send conditions, majority cardinalities) is
-//! generic.
+//! [`ftm_certify::Envelope`]. [`shell::Transformed`] is the whole process
+//! around it, written once: the send path, the receive path with its
+//! detection notes, vector certification (rule 5), the future-round
+//! buffer, the DECIDE relay and the poll timer. A protocol contributes
+//! only a [`shell::RoundModule`] — its round state, its certificates and
+//! its send rules. Certificate *design* stays protocol-specific, as the
+//! paper says; the *method* (witness values, witness send conditions,
+//! majority cardinalities) is generic.
 
 pub mod rules;
+pub mod shell;
 pub mod stack;
 
 pub use stack::{Admit, ModuleStack, MutenessFd, StackStats};

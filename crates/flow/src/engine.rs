@@ -28,11 +28,11 @@ pub const SCOPE: [&str; 3] = [
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 2] = ["target", "fixtures"];
 
-/// The extracted send table of one actor file (for the report).
+/// The extracted send table of one protocol (for the report).
 #[derive(Debug)]
 pub struct ActorTable {
-    /// Repo-relative path of the actor file.
-    pub file: String,
+    /// The protocol's label (`hr`, `ct`).
+    pub protocol: &'static str,
     /// The extracted send sites, in source order.
     pub sites: Vec<SendSite>,
 }
@@ -44,11 +44,11 @@ pub struct Analysis {
     pub files_scanned: u64,
     /// All findings, unsorted and unwaived.
     pub findings: Vec<FlowFinding>,
-    /// Per-actor send tables (conformance targets only).
+    /// Per-protocol send tables (conformance targets only).
     pub sends: Vec<ActorTable>,
 }
 
-/// Which spec a file is checked against, by path suffix.
+/// Which spec a round-module file is checked against, by path suffix.
 fn conformance_target(path: &str) -> Option<(ProtocolSpec, bool)> {
     if path.ends_with("byzantine/protocol.rs") {
         Some((ProtocolSpec::transformed(), true))
@@ -59,38 +59,61 @@ fn conformance_target(path: &str) -> Option<(ProtocolSpec, bool)> {
     }
 }
 
+/// The transformed-process shell, whose send sites (INIT, DECIDE) belong
+/// to every protocol's table.
+fn is_shell(path: &str) -> bool {
+    path.ends_with("transform/shell.rs")
+}
+
 /// Runs both passes over `(path, source)` pairs.
 ///
 /// Paths are virtual: fixtures use the real actor paths so scoping and
 /// conformance-target selection behave identically in tests.
 pub fn analyze_sources(files: &[(String, String)], deep: bool) -> Analysis {
-    let mut all_fns: Vec<FnDef> = Vec::new();
+    let parsed: Vec<(&String, Vec<FnDef>)> = files
+        .iter()
+        .map(|(path, source)| {
+            let mut fns = parse_file(source);
+            for f in &mut fns {
+                f.file.clone_from(path);
+            }
+            (path, fns)
+        })
+        .collect();
+    let shell: Vec<&FnDef> = parsed
+        .iter()
+        .filter(|(path, _)| is_shell(path))
+        .flat_map(|(_, fns)| fns)
+        .collect();
     let mut sends = Vec::new();
     let mut findings = Vec::new();
-    for (path, source) in files {
-        let mut fns = parse_file(source);
-        for f in &mut fns {
-            f.file.clone_from(path);
-        }
-        // Pass F2: spec conformance of the actor's send behavior.
-        if let Some((spec, hr_sigs)) = conformance_target(path) {
-            let table = extract(&fns);
-            for sf in conform(&table, &spec, hr_sigs) {
-                findings.push(FlowFinding {
-                    pass: "F2",
-                    file: path.clone(),
-                    line: sf.line,
-                    message: sf.message,
-                    path: Vec::new(),
-                });
-            }
-            sends.push(ActorTable {
-                file: path.clone(),
-                sites: table.sites,
+    for (path, fns) in &parsed {
+        // Pass F2: spec conformance of the protocol's send behavior, over
+        // its round module plus the shell (when the shell is analyzed).
+        let Some((spec, hr_sigs)) = conformance_target(path) else {
+            continue;
+        };
+        let set: Vec<FnDef> = fns.iter().chain(shell.iter().copied()).cloned().collect();
+        let table = extract(&set);
+        for sf in conform(&table, &spec, hr_sigs) {
+            findings.push(FlowFinding {
+                pass: "F2",
+                file: if sf.file.is_empty() {
+                    (*path).clone()
+                } else {
+                    sf.file
+                },
+                line: sf.line,
+                message: sf.message,
+                path: Vec::new(),
             });
         }
-        all_fns.extend(fns);
+        sends.push(ActorTable {
+            protocol: spec.protocol.label(),
+            sites: table.sites,
+        });
     }
+    let all_fns: Vec<FnDef> = parsed.into_iter().flat_map(|(_, fns)| fns).collect();
     // Pass F1: interprocedural certification taint over the whole set.
     for hit in taint::analyze(&all_fns, deep).hits {
         findings.push(FlowFinding {
@@ -165,6 +188,8 @@ mod tests {
         assert!(conformance_target("crates/core/src/byzantine/chandra_toueg.rs").is_some());
         assert!(conformance_target("crates/core/src/byzantine/log.rs").is_none());
         assert!(conformance_target("crates/core/src/crash/protocol.rs").is_none());
+        assert!(conformance_target("crates/core/src/transform/shell.rs").is_none());
+        assert!(is_shell("crates/core/src/transform/shell.rs"));
     }
 
     #[test]

@@ -165,11 +165,12 @@ impl FlowReport {
                                     ),
                                 ),
                                 ("fn".to_string(), Json::Str(s.in_fn.clone())),
+                                ("file".to_string(), Json::Str(s.file.clone())),
                                 ("line".to_string(), Json::U64(u64::from(s.line))),
                             ])
                         })
                         .collect();
-                    (t.file.clone(), Json::Arr(sites))
+                    (t.protocol.to_string(), Json::Arr(sites))
                 })
                 .collect(),
         );

@@ -1,19 +1,22 @@
 //! Pass F2: spec conformance of the transformed actors' send behavior.
 //!
-//! Extracts every send site from the HR and CT Byzantine actors — which
-//! `Core` message kind is built, whether it is broadcast or unicast, and
-//! the round carried — and diffs the observed table against the send
-//! obligations declared by `ProtocolSpec::transformed()` /
-//! `transformed_ct()`. A send the spec does not allow, an obligation
-//! never discharged, or a round/route mismatch is a finding.
+//! Extracts every send site of a transformed protocol — its round module
+//! plus the shared shell — which `Core` message kind is built, whether it
+//! is broadcast or unicast, and the round carried — and diffs the observed
+//! table against the send obligations declared by
+//! `ProtocolSpec::transformed()` / `transformed_ct()`. A send the spec
+//! does not allow, an obligation never discharged, or a round/route
+//! mismatch is a finding.
 //!
 //! Extraction works in three phases: (1) classify which functions reach
 //! the network (call `ctx.broadcast`/`ctx.send` directly or
 //! transitively); (2) walk every function with a guard stack, recording
 //! each call to a send-reaching function that carries a `Core::K { … }`
-//! struct literal (directly, or via a local `let core = Core::K { … }`);
-//! (3) match the per-kind site sets against the spec using guard-text
-//! signatures when one kind has several conditional obligations.
+//! struct literal (directly, or via a local `let core = Core::K { … }`),
+//! whether the call goes through `self`, a field of `self` or a handle
+//! parameter (`sh.send_all(…)`); (3) match the per-kind site sets against
+//! the spec using guard-text signatures when one kind has several
+//! conditional obligations.
 
 use crate::ast::{Arm, Block, Expr, ExprKind, FnDef, Stmt};
 use ftm_core::spec::ProtocolSpec;
@@ -52,6 +55,8 @@ pub struct SendSite {
     pub round: RoundDelta,
     /// Name of the function containing the site.
     pub in_fn: String,
+    /// Repo-relative path of the file containing the site.
+    pub file: String,
     /// Source line of the site.
     pub line: u32,
     /// Conjunction of enclosing guard texts (if-conditions, match arms).
@@ -63,6 +68,8 @@ pub struct SendSite {
 pub struct CallSite {
     /// The calling function.
     pub in_fn: String,
+    /// Repo-relative path of the calling file.
+    pub file: String,
     /// Source line of the call.
     pub line: u32,
     /// Conjunction of enclosing guard texts.
@@ -81,7 +88,9 @@ pub struct SendTable {
 /// An F2 conformance finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpecFinding {
-    /// Source line the finding anchors to (0 = whole-file obligation).
+    /// File the finding anchors to (empty = the protocol as a whole).
+    pub file: String,
+    /// Source line the finding anchors to (0 = whole-protocol obligation).
     pub line: u32,
     /// Human-readable description.
     pub message: String,
@@ -89,6 +98,17 @@ pub struct SpecFinding {
 
 fn is_ctx_recv(text: &str) -> bool {
     text == "ctx" || text.ends_with(" ctx") || text.contains("ctx .")
+}
+
+/// Whether a method receiver is the process itself or a module it sends
+/// through: `self`, a field of `self` (`self.shell`), or a handle
+/// parameter (`sh`) — never the runtime context.
+fn is_actor_recv(text: &str) -> bool {
+    match text.split_whitespace().collect::<Vec<_>>().as_slice() {
+        ["self"] | ["self", ".", _] => true,
+        [name] => !is_ctx_recv(name) && name.chars().all(|c| c.is_alphanumeric() || c == '_'),
+        _ => false,
+    }
 }
 
 /// Phase 1: which functions reach the network, and how.
@@ -118,7 +138,7 @@ fn classify_send_reaching(fns: &[FnDef]) -> BTreeMap<String, Route> {
             routes.insert(f.name.clone(), r);
         }
     }
-    // Transitive closure over self-method calls.
+    // Transitive closure over calls through the process's own modules.
     loop {
         let mut changed = false;
         for f in fns {
@@ -128,7 +148,7 @@ fn classify_send_reaching(fns: &[FnDef]) -> BTreeMap<String, Route> {
             let mut found = None;
             visit_exprs(&f.body, &mut |e| {
                 if let ExprKind::Method { recv, name, .. } = &e.kind {
-                    if recv.text == "self" {
+                    if is_actor_recv(&recv.text) {
                         if let Some(r) = routes.get(name) {
                             found = Some(match (found, *r) {
                                 (Some(Route::Unicast), _) | (_, Route::Unicast) => Route::Unicast,
@@ -342,7 +362,7 @@ fn core_literal(e: &Expr) -> Option<(&str, &[(String, Expr)])> {
     }
 }
 
-/// Phase 2: extracts the send table of one actor file.
+/// Phase 2: extracts the send table of one protocol's functions.
 pub fn extract(fns: &[FnDef]) -> SendTable {
     let routes = classify_send_reaching(fns);
     let mut table = SendTable::default();
@@ -371,7 +391,7 @@ pub fn extract(fns: &[FnDef]) -> SendTable {
         let fname = f.name.clone();
         let mut on_guarded = |e: &Expr, guards: &[String]| {
             let (name, args, line) = match &e.kind {
-                ExprKind::Method { recv, name, args } if recv.text == "self" => {
+                ExprKind::Method { recv, name, args } if is_actor_recv(&recv.text) => {
                     (name.as_str(), args.as_slice(), e.line)
                 }
                 ExprKind::Call { callee, args } => match &callee.kind {
@@ -382,9 +402,10 @@ pub fn extract(fns: &[FnDef]) -> SendTable {
                 },
                 _ => return,
             };
-            // Record every self-method call site for later expansion.
+            // Record every process-method call site for later expansion.
             calls.entry(name.to_string()).or_default().push(CallSite {
                 in_fn: fname.clone(),
+                file: f.file.clone(),
                 line,
                 guards: guards.to_vec(),
             });
@@ -403,6 +424,7 @@ pub fn extract(fns: &[FnDef]) -> SendTable {
                         route: *route,
                         round,
                         in_fn: fname.clone(),
+                        file: f.file.clone(),
                         line,
                         guards: guards.to_vec(),
                     });
@@ -514,6 +536,7 @@ pub fn conform(table: &SendTable, spec: &ProtocolSpec, use_hr_sigs: bool) -> Vec
     for site in &table.sites {
         if site.route == Route::Unicast {
             findings.insert(SpecFinding {
+                file: site.file.clone(),
                 line: site.line,
                 message: format!(
                     "`Core::{}` sent point-to-point in `{}`; the transformation requires every protocol message to be broadcast so correct processes can certify and echo it",
@@ -532,6 +555,7 @@ pub fn conform(table: &SendTable, spec: &ProtocolSpec, use_hr_sigs: bool) -> Vec
         };
         if !round_ok {
             findings.insert(SpecFinding {
+                file: site.file.clone(),
                 line: site.line,
                 message: format!(
                     "`Core::{}` in `{}` carries round class {:?}, which the spec forbids for this kind",
@@ -572,6 +596,7 @@ pub fn conform(table: &SendTable, spec: &ProtocolSpec, use_hr_sigs: bool) -> Vec
                             route: site.route,
                             round: site.round,
                             in_fn: c.in_fn.clone(),
+                            file: c.file.clone(),
                             line: c.line,
                             guards: c.guards.clone(),
                         })
@@ -582,6 +607,7 @@ pub fn conform(table: &SendTable, spec: &ProtocolSpec, use_hr_sigs: bool) -> Vec
                 continue;
             }
             findings.insert(SpecFinding {
+                file: site.file.clone(),
                 line: site.line,
                 message: format!(
                     "spec declares {m} obligations for `Core::{kind}` but `{}` (its only send site) is called from {} site(s); obligations {:?} cannot all be discharged",
@@ -594,6 +620,7 @@ pub fn conform(table: &SendTable, spec: &ProtocolSpec, use_hr_sigs: bool) -> Vec
         }
         if d == 0 {
             findings.insert(SpecFinding {
+                file: String::new(),
                 line: 0,
                 message: format!(
                     "spec obligation(s) {obligations:?} for `Core::{kind}` have no send site in the actor: the message is never sent"
@@ -601,6 +628,7 @@ pub fn conform(table: &SendTable, spec: &ProtocolSpec, use_hr_sigs: bool) -> Vec
             });
         } else {
             findings.insert(SpecFinding {
+                file: sites.first().map_or_else(String::new, |s| s.file.clone()),
                 line: sites.first().map_or(0, |s| s.line),
                 message: format!(
                     "`Core::{kind}` has {d} send site(s) but the spec declares {m} obligation(s) {obligations:?}"
@@ -612,6 +640,7 @@ pub fn conform(table: &SendTable, spec: &ProtocolSpec, use_hr_sigs: bool) -> Vec
     for (kind, sites) in &observed {
         if !expected.contains_key(kind) {
             findings.insert(SpecFinding {
+                file: sites.first().map_or_else(String::new, |s| s.file.clone()),
                 line: sites.first().map_or(0, |s| s.line),
                 message: format!(
                     "`Core::{kind}` is sent (in `{}`) but the spec declares no obligation for it",
@@ -635,6 +664,7 @@ fn bijection_holds(
     for ob in obligations {
         let Some(sig) = HR_SIGS.iter().find(|s| s.id == ob) else {
             findings.insert(SpecFinding {
+                file: String::new(),
                 line: 0,
                 message: format!(
                     "no guard signature known for obligation `{ob}`; cannot establish conformance"
@@ -653,6 +683,7 @@ fn bijection_holds(
             [i] => used_sites[*i] = true,
             [] => {
                 findings.insert(SpecFinding {
+                    file: String::new(),
                     line: 0,
                     message: format!(
                         "obligation `{ob}` has no send site whose guards match its signature; the conditional send is missing or its guard changed"
@@ -662,6 +693,7 @@ fn bijection_holds(
             }
             many => {
                 findings.insert(SpecFinding {
+                    file: sites[many[0]].file.clone(),
                     line: sites[many[0]].line,
                     message: format!(
                         "obligation `{ob}` matches {} send sites; guards are ambiguous",
@@ -675,6 +707,7 @@ fn bijection_holds(
     for (i, used) in used_sites.iter().enumerate() {
         if !used {
             findings.insert(SpecFinding {
+                file: sites[i].file.clone(),
                 line: sites[i].line,
                 message: format!(
                     "send site of `Core::{}` in `{}` (line {}) matches no declared obligation",
@@ -744,6 +777,34 @@ impl A {
         assert_eq!(table.sites.len(), 1, "{:?}", table.sites);
         assert_eq!(table.sites[0].kind, "Next");
         assert_eq!(table.sites[0].round, RoundDelta::Same);
+    }
+
+    #[test]
+    fn sends_through_a_shell_field_or_handle_resolve() {
+        let src = r#"
+impl Shell {
+    fn send_all(&self, core: Core, ctx: &mut Ctx) { ctx.broadcast(core); }
+}
+impl Actor {
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        self.shell.send_all(Core::Init { value: self.value }, ctx);
+    }
+}
+impl Rounds {
+    fn vote(&mut self, sh: &Shell, ctx: &mut Ctx) {
+        sh.send_all(Core::Next { round: self.r }, ctx);
+    }
+    fn on_poll(&mut self, sh: &Shell, ctx: &mut Ctx) {
+        if sh.stack.suspected_or_faulty(c) { self.vote(sh, ctx); }
+    }
+}
+"#;
+        let table = extract(&parse_file(src));
+        let kinds: Vec<&str> = table.sites.iter().map(|s| s.kind.as_str()).collect();
+        assert_eq!(kinds, ["Init", "Next"], "{:?}", table.sites);
+        let calls = &table.calls["vote"];
+        assert_eq!(calls.len(), 1);
+        assert!(calls[0].guards[0].contains("suspected_or_faulty"));
     }
 
     #[test]

@@ -92,8 +92,10 @@ pub struct TaintHit {
 /// Per-function interprocedural summary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Summary {
-    /// Parameters that reach a sink inside the callee, with the sink name.
-    pub param_sinks: BTreeMap<usize, String>,
+    /// Parameters that reach sinks inside the callee, with the sink names
+    /// (every one: same-named methods of different round modules join
+    /// here, and each of their sinks must stay visible).
+    pub param_sinks: BTreeMap<usize, BTreeSet<String>>,
     /// Parameters that flow into the return value.
     pub ret_params: BTreeSet<usize>,
 }
@@ -154,19 +156,31 @@ fn root_place(e: &Expr) -> Option<String> {
     }
 }
 
-/// The sink field named by a place text, if any (`self . est_vect` →
-/// `est_vect`).
-fn sink_field(place: &str) -> Option<&'static str> {
+/// The sink a place text names, if any: the field chain up to the first
+/// sink field, rooted at `self` or at a handle parameter in `handles`
+/// (`self . est_vect` → `self.est_vect`, `self . round . est_vect` →
+/// `self.round.est_vect`, `sh . est_vect` → `sh.est_vect`).
+fn sink_field(place: &str, handles: &BTreeSet<String>) -> Option<String> {
     let mut it = place.split_whitespace();
-    if it.next() != Some("self") || it.next() != Some(".") {
+    let mut chain = it.next()?.to_string();
+    if chain != "self" && !handles.contains(&chain) {
         return None;
     }
-    let field = it.next()?;
-    SINK_FIELDS.iter().find(|f| **f == field).copied()
+    while it.next() == Some(".") {
+        let field = it.next()?;
+        chain = format!("{chain}.{field}");
+        if SINK_FIELDS.contains(&field) {
+            return Some(chain);
+        }
+    }
+    None
 }
 
 struct Analyzer<'a> {
     summaries: &'a BTreeMap<String, Summary>,
+    /// The current function's parameter names (handles whose fields are
+    /// as much replicated state as `self`'s).
+    handles: BTreeSet<String>,
     /// Summary being computed for the current function.
     out_summary: Summary,
     hits: BTreeSet<TaintHit>,
@@ -191,7 +205,8 @@ impl<'a> Analyzer<'a> {
                     self.out_summary
                         .param_sinks
                         .entry(*i)
-                        .or_insert_with(|| sink.to_string());
+                        .or_default()
+                        .insert(sink.to_string());
                 }
             }
         }
@@ -356,9 +371,9 @@ impl<'a> Analyzer<'a> {
         }
         // Method on a replicated-state field: tainted arguments sink.
         if let Some(r) = recv {
-            if let Some(field) = sink_field(&flat_recv(r)) {
+            if let Some(sink) = sink_field(&flat_recv(r), &self.handles) {
                 for t in &arg_taints {
-                    self.record_sink(t, &format!("self.{field}.{name}(…)"), line);
+                    self.record_sink(t, &format!("{sink}.{name}(…)"), line);
                 }
             }
         }
@@ -372,7 +387,7 @@ impl<'a> Analyzer<'a> {
         if let Some(sum) = self.summaries.get(name) {
             let mut ret = TaintSet::new();
             for (i, t) in arg_taints.iter().enumerate() {
-                if let Some(sink) = sum.param_sinks.get(&i) {
+                for sink in sum.param_sinks.get(&i).into_iter().flatten() {
                     self.record_sink(
                         &extend(t, &format!("passed to `{name}` (line {line})")),
                         sink,
@@ -491,8 +506,8 @@ impl<'a> Analyzer<'a> {
                 line,
             } => {
                 let taint = self.eval(value, state);
-                if let Some(field) = sink_field(place) {
-                    self.record_sink(&taint, &format!("self.{field}"), *line);
+                if let Some(sink) = sink_field(place, &self.handles) {
+                    self.record_sink(&taint, &sink, *line);
                 }
                 let words = place.split_whitespace().take(3).collect::<Vec<_>>();
                 let key = if words.first() == Some(&"self") && words.get(1) == Some(&".") {
@@ -587,7 +602,10 @@ pub fn analyze(fns: &[FnDef], deep: bool) -> TaintOutcome {
                 Some(p) => {
                     let mut m = p.clone();
                     for (k, v) in &summary.param_sinks {
-                        m.param_sinks.entry(*k).or_insert_with(|| v.clone());
+                        m.param_sinks
+                            .entry(*k)
+                            .or_default()
+                            .extend(v.iter().cloned());
                     }
                     m.ret_params.extend(summary.ret_params.iter().copied());
                     m
@@ -645,6 +663,11 @@ fn run_fn(
     }
     let mut az = Analyzer {
         summaries,
+        handles: f
+            .params
+            .iter()
+            .flat_map(|p| p.binds.iter().cloned())
+            .collect(),
         out_summary: Summary::default(),
         hits: BTreeSet::new(),
     };
@@ -732,6 +755,21 @@ mod tests {
         );
         assert_eq!(h.len(), 1, "{h:?}");
         assert!(h[0].sink.contains("current_cert"));
+    }
+
+    #[test]
+    fn nested_and_handle_held_sink_fields_are_flagged() {
+        // A shell writing into its round module's state, and a round
+        // module writing through the shell handle it was passed.
+        let h = hits(
+            "impl Shell {\
+             fn on_message(&mut self, from: ProcessId, env: &Envelope, ctx: &mut Context<'_, M, V>) { self.round.est_vect = env.value(); self.round.deliver(&self.shell, env.clone()); }\
+             }\
+             impl Rounds { fn deliver(&mut self, sh: &Shell, env: Envelope) { sh.decide_evidence.insert(env.cert); } }",
+        );
+        let sinks: Vec<&str> = h.iter().map(|x| x.sink.as_str()).collect();
+        assert!(sinks.contains(&"self.round.est_vect"), "{h:?}");
+        assert!(sinks.contains(&"sh.decide_evidence.insert(…)"), "{h:?}");
     }
 
     #[test]

@@ -3,29 +3,48 @@
 //! does not recognise) must produce at least one F1 finding in that file.
 //! This proves the certification-before-use obligation is enforced by the
 //! analysis, not satisfied vacuously.
+//!
+//! The transformed-process shell's `admit` guards both round modules, so
+//! its case is analyzed together with them and must reach a sink that only
+//! Hurfin–Raynal writes and one that only Chandra–Toueg writes.
 
 use ftm_flow::analyze_sources;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// `(file, sanitizer call token, disabled replacement)` — one case per
-/// production certification gate inside the gating scope.
-const CASES: [(&str, &str, &str); 3] = [
-    (
-        "crates/core/src/byzantine/protocol.rs",
-        ".admit(",
-        ".unchecked_admit(",
-    ),
-    (
-        "crates/core/src/byzantine/chandra_toueg.rs",
-        ".admit(",
-        ".unchecked_admit(",
-    ),
-    (
-        "crates/core/src/byzantine/log.rs",
-        ".check_envelope(",
-        ".unchecked_envelope(",
-    ),
+const HR: &str = "crates/core/src/byzantine/protocol.rs";
+const CT: &str = "crates/core/src/byzantine/chandra_toueg.rs";
+
+/// A production certification gate inside the gating scope.
+struct Case {
+    /// The file holding the sanitizer call.
+    file: &'static str,
+    /// The sanitizer call token and its disabled replacement.
+    token: &'static str,
+    replacement: &'static str,
+    /// Files analyzed together with it (the code it guards).
+    companions: &'static [&'static str],
+    /// Sinks the mutated flow must reach (substrings of the sink text).
+    reaches: &'static [&'static str],
+}
+
+/// One case per production certification gate.
+const CASES: [Case; 2] = [
+    Case {
+        file: "crates/core/src/transform/shell.rs",
+        token: ".admit(",
+        replacement: ".unchecked_admit(",
+        companions: &[HR, CT],
+        // `next_cert` is written only by HR, `vote_cert` only by CT.
+        reaches: &["self.next_cert", "self.vote_cert"],
+    },
+    Case {
+        file: "crates/core/src/byzantine/log.rs",
+        token: ".check_envelope(",
+        replacement: ".unchecked_envelope(",
+        companions: &[],
+        reaches: &[],
+    },
 ];
 
 fn workspace_root() -> PathBuf {
@@ -41,22 +60,28 @@ fn read(rel: &str) -> String {
 
 #[test]
 fn disabling_each_production_sanitizer_yields_an_f1_finding() {
-    for (rel, token, replacement) in CASES {
+    for case in CASES {
+        let (rel, token) = (case.file, case.token);
         let pristine = read(rel);
         assert!(
             pristine.contains(token),
             "{rel}: expected sanitizer call {token:?}"
         );
+        let with = |source: String| -> Vec<(String, String)> {
+            let mut files = vec![(rel.to_string(), source)];
+            files.extend(case.companions.iter().map(|c| (c.to_string(), read(c))));
+            files
+        };
 
-        let base = analyze_sources(&[(rel.to_string(), pristine.clone())], false);
+        let base = analyze_sources(&with(pristine.clone()), false);
         assert!(
             base.findings.is_empty(),
             "{rel}: pristine file must be clean: {:#?}",
             base.findings
         );
 
-        let mutated = pristine.replace(token, replacement);
-        let analysis = analyze_sources(&[(rel.to_string(), mutated)], false);
+        let mutated = pristine.replace(token, case.replacement);
+        let analysis = analyze_sources(&with(mutated), false);
         let f1: Vec<_> = analysis
             .findings
             .iter()
@@ -68,6 +93,12 @@ fn disabling_each_production_sanitizer_yields_an_f1_finding() {
         );
         for f in &f1 {
             assert_eq!(f.file, rel);
+        }
+        for sink in case.reaches {
+            assert!(
+                f1.iter().any(|f| f.message.contains(sink)),
+                "{rel}: disabling {token:?} must reach `{sink}`: {f1:#?}"
+            );
         }
     }
 }

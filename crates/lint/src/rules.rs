@@ -12,7 +12,7 @@
 //! | D3   | no `Instant`/`SystemTime` outside timing.rs / net's `clock.rs`  |
 //! | D4   | no `std::thread::spawn` outside `ftm_sim::harness` / net's `cluster.rs` |
 //! | D5   | no ad-hoc quorum arithmetic outside `ftm-quorum`                |
-//! | D6   | no `unwrap`/`expect`/`panic!` in message-handling paths         |
+//! | D6   | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in message-handling paths |
 //! | D7   | no `as` narrowing casts in quorum/threshold arithmetic          |
 
 use crate::lexer::{Lexed, TokenKind};
@@ -276,23 +276,29 @@ fn check_d5(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
 }
 
+/// Macros that abort the process wherever they are reached (D6).
+const ABORT_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+
 fn check_d6(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
         if lexed.in_test_region(i) {
             continue;
         }
-        let (hit, name) = if i > 0
+        let name = if i > 0
             && toks[i - 1].text == "."
             && (toks[i].text == "unwrap" || toks[i].text == "expect")
         {
-            (true, toks[i].text.as_str())
-        } else if toks[i].text == "panic" && i + 1 < toks.len() && toks[i + 1].text == "!" {
-            (true, "panic!")
+            Some(toks[i].text.clone())
+        } else if ABORT_MACROS.contains(&toks[i].text.as_str())
+            && i + 1 < toks.len()
+            && toks[i + 1].text == "!"
+        {
+            Some(format!("{}!", toks[i].text))
         } else {
-            (false, "")
+            None
         };
-        if hit {
+        if let Some(name) = name {
             out.push(Finding {
                 lint: "D6",
                 file: path.to_string(),
@@ -443,6 +449,15 @@ mod tests {
             "fn handle() { msg.unwrap(); }\n#[cfg(test)]\nmod t { fn x() { y.expect(\"e\"); } }";
         assert_eq!(lints_of("crates/detect/src/x.rs", src), ["D6"]);
         assert!(lints_of("crates/bench/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn d6_flags_every_aborting_macro() {
+        let src = "fn handle(k: u8) -> u8 { match k { 0 => unreachable!(), 1 => todo!(), 2 => unimplemented!(), _ => panic!() } }";
+        assert_eq!(
+            lints_of("crates/core/src/x.rs", src),
+            ["D6", "D6", "D6", "D6"]
+        );
     }
 
     #[test]
