@@ -13,6 +13,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use ftm_crypto::sha256::Digest;
+use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::ProcessId;
 
 use crate::message::{MessageKind, Round, Value, ValueVector};
@@ -191,6 +192,30 @@ impl Certificate {
             .iter()
             .map(super::signed::SignedCore::size_bytes)
             .sum()
+    }
+}
+
+/// Wire form: a `u32` item count, then each item's canonical encoding in
+/// insertion order. This is how certificates travel inside an
+/// [`Envelope`](crate::Envelope) and how a replica stores sealed slots'
+/// decide evidence.
+impl CanonicalEncode for Certificate {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.u32(self.items.len() as u32);
+        for item in &self.items {
+            item.encode(enc);
+        }
+    }
+}
+
+impl CanonicalDecode for Certificate {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let len = dec.u32()?;
+        let mut cert = Certificate::new();
+        for _ in 0..len {
+            cert.insert(SignedCore::decode(dec)?);
+        }
+        Ok(cert)
     }
 }
 

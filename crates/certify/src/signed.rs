@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_crypto::rsa::{KeyPair, Signature};
-use ftm_crypto::sha256::Digest;
+use ftm_crypto::sha256::{Digest, Sha256};
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::{LayerSplit, Payload, ProcessId};
 
@@ -35,28 +35,35 @@ pub struct SignedCore {
     core: Arc<MessageCore>,
     signature: Signature,
     digest: Digest,
+    /// Canonical core bytes and signature bytes, measured once: the
+    /// simulator and the transport account every send by them.
+    core_len: usize,
+    sig_len: usize,
 }
 
 impl SignedCore {
     /// Signs `core` with `keys` (which should be the sender's key pair —
     /// fault injectors deliberately violate this).
     pub fn sign(core: MessageCore, keys: &KeyPair) -> Self {
-        let digest = core.canonical_digest();
-        let signature = keys.sign_digest(&digest);
-        SignedCore {
-            core: Arc::new(core),
-            signature,
-            digest,
-        }
+        let bytes = core.canonical_bytes();
+        let signature = keys.sign_digest(&Sha256::digest(&bytes));
+        Self::assemble(core, &bytes, signature)
     }
 
     /// Assembles a signed core from parts (used by forgery injectors).
     pub fn from_parts(core: MessageCore, signature: Signature) -> Self {
-        let digest = core.canonical_digest();
+        let bytes = core.canonical_bytes();
+        Self::assemble(core, &bytes, signature)
+    }
+
+    /// Builds a signed core whose canonical bytes are `bytes`.
+    fn assemble(core: MessageCore, bytes: &[u8], signature: Signature) -> Self {
         SignedCore {
+            digest: Sha256::digest(bytes),
+            core_len: bytes.len(),
+            sig_len: signature.size_bytes(),
             core: Arc::new(core),
             signature,
-            digest,
         }
     }
 
@@ -109,7 +116,7 @@ impl SignedCore {
 
     /// On-the-wire size: canonical core bytes plus signature bytes.
     pub fn size_bytes(&self) -> usize {
-        self.core.canonical_bytes().len() + self.signature.size_bytes()
+        self.core_len + self.sig_len
     }
 }
 
@@ -157,23 +164,16 @@ pub struct Envelope {
 impl CanonicalEncode for Envelope {
     fn encode(&self, enc: &mut Encoder) {
         enc.nested(&self.signed);
-        let items: Vec<&SignedCore> = self.cert.iter().collect();
-        enc.u32(items.len() as u32);
-        for item in items {
-            item.encode(enc);
-        }
+        enc.nested(&self.cert);
     }
 }
 
 impl CanonicalDecode for Envelope {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let signed = SignedCore::decode(dec)?;
-        let len = dec.u32()? as usize;
-        let mut cert = Certificate::new();
-        for _ in 0..len {
-            cert.insert(SignedCore::decode(dec)?);
-        }
-        Ok(Envelope { signed, cert })
+        Ok(Envelope {
+            signed: SignedCore::decode(dec)?,
+            cert: Certificate::decode(dec)?,
+        })
     }
 }
 
@@ -252,7 +252,7 @@ impl Payload for Envelope {
         // the certification layer's carried evidence (certificate items,
         // cores *and* their signatures — the evidence only exists because
         // of certification).
-        let signature_bytes = self.signed.signature.size_bytes();
+        let signature_bytes = self.signed.sig_len;
         let certificate_bytes = self.cert.size_bytes();
         LayerSplit {
             signature_bytes,

@@ -122,8 +122,14 @@ pub struct ReplicatedLog<P: TransformedProtocol = ByzantineConsensus> {
     buffered: Vec<(ProcessId, SlotMsg)>,
     done: bool,
     retention: Retention,
-    /// Per-slot decide-vote certificates ([`Retention::Full`] only).
-    evidence: Vec<(u64, Certificate)>,
+    /// Per-slot decide-vote certificates ([`Retention::Full`] only), in
+    /// canonical bytes and ascending slot order. A certificate is decoded
+    /// again only to build a catch-up reply; stored encoded it costs its
+    /// wire bytes instead of a tree of shared cores and bignums.
+    evidence: Vec<(u64, Box<[u8]>)>,
+    /// Sum of [`Certificate::size_bytes`] over `evidence`, kept as slots
+    /// seal so that [`retained_bytes`](Self::retained_bytes) is O(1).
+    evidence_bytes: usize,
     /// The latest checkpoint envelope ([`Retention::Checkpoint`] only).
     checkpoint: Option<Envelope>,
     /// Audits locally formed checkpoints before they replace evidence,
@@ -214,6 +220,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             done: false,
             retention: Retention::Full,
             evidence: Vec::new(),
+            evidence_bytes: 0,
             checkpoint: None,
             checker: CertChecker::new_for(P::ID, res.n(), res.f(), setup.dir.clone()),
             slot_hook: None,
@@ -279,11 +286,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
     /// latest checkpoint envelope under [`Retention::Checkpoint`].
     pub fn retained_bytes(&self) -> usize {
         match self.retention {
-            Retention::Full => self
-                .evidence
-                .iter()
-                .map(|(_, cert)| cert.size_bytes())
-                .sum(),
+            Retention::Full => self.evidence_bytes,
             Retention::Checkpoint => self.checkpoint.as_ref().map_or(0, Envelope::size_bytes),
         }
     }
@@ -292,6 +295,31 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
     /// slot has sealed.
     pub fn checkpoint(&self) -> Option<&Envelope> {
         self.checkpoint.as_ref()
+    }
+
+    /// The decide certificate retained for sealed `slot`
+    /// ([`Retention::Full`] only), decoded from its stored bytes.
+    pub fn retained_certificate(&self, slot: u64) -> Option<Certificate> {
+        let i = self
+            .evidence
+            .binary_search_by_key(&slot, |(s, _)| *s)
+            .ok()?;
+        Certificate::from_canonical_bytes(&self.evidence[i].1).ok()
+    }
+
+    /// The checkpoint envelope this replica ships a laggard for sealed
+    /// `slot`: its decided vector over the retained decide certificate.
+    fn catchup_checkpoint(&self, slot: u64) -> Option<Envelope> {
+        let cert = self.retained_certificate(slot)?;
+        let vector = self.log.get(slot as usize)?;
+        Some(make_checkpoint(
+            P::ID,
+            slot,
+            vector,
+            cert,
+            self.me,
+            &self.setup.keys[self.me.index()],
+        ))
     }
 
     /// Seals `slot`'s decide evidence per the retention mode. Compaction
@@ -311,7 +339,9 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         };
         match self.retention {
             Retention::Full => {
-                self.evidence.push((slot, cert.clone()));
+                self.evidence
+                    .push((slot, cert.canonical_bytes().into_boxed_slice()));
+                self.evidence_bytes += cert.size_bytes();
                 ctx.note(format!(
                     "evidence slot={slot} bytes={}",
                     self.retained_bytes()
@@ -506,20 +536,9 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         let hi = self.current.min(stale_slot.saturating_add(window));
         let mut sent = 0u64;
         for k in stale_slot..hi {
-            let Some((_, cert)) = self.evidence.iter().find(|(s, _)| *s == k) else {
+            let Some(env) = self.catchup_checkpoint(k) else {
                 continue;
             };
-            let Some(vector) = self.log.get(k as usize) else {
-                continue;
-            };
-            let env = make_checkpoint(
-                P::ID,
-                k,
-                vector,
-                cert.clone(),
-                self.me,
-                &self.setup.keys[self.me.index()],
-            );
             ctx.send(from, SlotMsg { slot: k, env });
             sent += 1;
         }
@@ -816,6 +835,146 @@ mod tests {
         );
     }
 
+    /// Checkpoints recorded by an [`Audited`] replica, as
+    /// `(slot, envelope bytes)` in slot order.
+    type Sealed = std::sync::Arc<std::sync::Mutex<Vec<(u64, Vec<u8>)>>>;
+
+    /// A replica audited after every callback. Under [`Retention::Full`]
+    /// the running evidence total must equal the sum recomputed from the
+    /// stored certificates at every seal. Each newly sealed slot's
+    /// checkpoint is recorded: the one the replica retains under
+    /// [`Retention::Checkpoint`] (built over the live decide certificate),
+    /// the catch-up reply it would ship under [`Retention::Full`] (built
+    /// from the compact evidence).
+    struct Audited<P: TransformedProtocol> {
+        log: ReplicatedLog<P>,
+        seen: u64,
+        sealed: Sealed,
+    }
+
+    impl<P: TransformedProtocol> Audited<P> {
+        fn audit(&mut self) {
+            while self.seen < self.log.decided_slots() as u64 {
+                let slot = self.seen;
+                self.seen += 1;
+                let env = match self.log.retention {
+                    Retention::Full => {
+                        let recomputed: usize = (0..=slot)
+                            .filter_map(|k| self.log.retained_certificate(k))
+                            .map(|cert| cert.size_bytes())
+                            .sum();
+                        assert_eq!(self.log.retained_bytes(), recomputed, "slot {slot}");
+                        self.log.catchup_checkpoint(slot)
+                    }
+                    // Only the latest checkpoint is kept: a slot sealed
+                    // within the same callback as the next goes unrecorded.
+                    Retention::Checkpoint => self
+                        .log
+                        .checkpoint()
+                        .filter(|env| {
+                            matches!(env.core(), Core::Checkpoint { slot: s, .. } if *s == slot)
+                        })
+                        .cloned(),
+                };
+                if let Some(env) = env {
+                    self.sealed.lock().unwrap().push((slot, env.to_bytes()));
+                }
+            }
+        }
+    }
+
+    impl<P: TransformedProtocol> Actor for Audited<P> {
+        type Msg = SlotMsg;
+        type Decision = Vec<ValueVector>;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>) {
+            self.log.on_start(ctx);
+            self.audit();
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            msg: &SlotMsg,
+            ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>,
+        ) {
+            self.log.on_message(from, msg, ctx);
+            self.audit();
+        }
+
+        fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>) {
+            self.log.on_timer(tag, ctx);
+            self.audit();
+        }
+    }
+
+    /// Runs an audited 4-replica log and returns each replica's record.
+    fn audited_run<P: TransformedProtocol + 'static>(
+        retention: Retention,
+        slots: u64,
+        seed: u64,
+    ) -> Vec<Vec<(u64, Vec<u8>)>> {
+        let setup = ProtocolConfig::new(4, 1).seed(seed).setup();
+        let records: Vec<Sealed> = (0..4).map(|_| Sealed::default()).collect();
+        let report = Simulation::build_boxed(SimConfig::new(4).seed(seed), |id| {
+            Box::new(Audited {
+                log: ReplicatedLog::<P>::new(&setup, id, slots, cmd).with_retention(retention),
+                seen: 0,
+                sealed: records[id.index()].clone(),
+            })
+        })
+        .run();
+        check_log_consistency(&report.decisions, &report.crashed, 3).expect("consistent log");
+        records
+            .iter()
+            .map(|r| std::mem::take(&mut *r.lock().unwrap()))
+            .collect()
+    }
+
+    fn running_total_matches_recomputed_sizes<P: TransformedProtocol + 'static>() {
+        let slots = 6;
+        let records = audited_run::<P>(Retention::Full, slots, 12);
+        for (p, record) in records.iter().enumerate() {
+            assert_eq!(record.len() as u64, slots, "p{p} lost evidence");
+        }
+    }
+
+    #[test]
+    fn full_retention_total_is_the_sum_of_certificate_sizes_hr() {
+        running_total_matches_recomputed_sizes::<ByzantineConsensus>();
+    }
+
+    #[test]
+    fn full_retention_total_is_the_sum_of_certificate_sizes_ct() {
+        running_total_matches_recomputed_sizes::<crate::byzantine::ByzantineChandraToueg>();
+    }
+
+    /// Compaction leaves the schedule untouched, so slot `k` decides over
+    /// the same certificate in both runs: the catch-up reply decoded from
+    /// compact evidence must equal the checkpoint built over the live one.
+    fn catchup_replies_match_live_checkpoints<P: TransformedProtocol + 'static>() {
+        let slots = 6;
+        let full = audited_run::<P>(Retention::Full, slots, 13);
+        let live = audited_run::<P>(Retention::Checkpoint, slots, 13);
+        for (p, (full, live)) in full.iter().zip(&live).enumerate() {
+            assert!(!live.is_empty(), "p{p} recorded no live checkpoint");
+            for (slot, bytes) in live {
+                let (_, replayed) = &full[*slot as usize];
+                assert_eq!(replayed, bytes, "p{p} slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn catchup_checkpoints_from_compact_evidence_are_byte_identical_hr() {
+        catchup_replies_match_live_checkpoints::<ByzantineConsensus>();
+    }
+
+    #[test]
+    fn catchup_checkpoints_from_compact_evidence_are_byte_identical_ct() {
+        catchup_replies_match_live_checkpoints::<crate::byzantine::ByzantineChandraToueg>();
+    }
+
     #[test]
     fn compaction_works_under_chandra_toueg_too() {
         let setup = ProtocolConfig::new(4, 1).seed(6).setup();
@@ -1009,6 +1168,18 @@ mod tests {
             assert_eq!(*to, ProcessId(3));
             assert_eq!(reply.slot, i as u64);
             assert_eq!(reply.env.kind(), MessageKind::Checkpoint);
+            // Rebuilt from compact evidence, the reply is the checkpoint
+            // over the quorum the slot was sealed with.
+            let (vect, votes) = decided_quorum(&setup, i as u64);
+            let live = make_checkpoint(
+                ftm_certify::ProtocolId::HurfinRaynal,
+                i as u64,
+                &vect,
+                votes,
+                ProcessId(0),
+                &setup.keys[0],
+            );
+            assert_eq!(reply.env.to_bytes(), live.to_bytes());
             // The reply survives the admission the laggard will run.
             log.checker.check_envelope(&reply.env).expect("valid reply");
         }

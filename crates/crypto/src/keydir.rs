@@ -20,10 +20,58 @@ use crate::sha256::{Digest, Sha256};
 /// Identifier of a signer (the process index in the simulation).
 pub type SignerId = u32;
 
-/// Upper bound on memoized verdicts; the map is dropped wholesale when it
-/// fills (signature verdicts are cheap to recompute, so a rare full reset
-/// beats per-entry eviction bookkeeping).
-const VERIFY_CACHE_CAPACITY: usize = 1 << 16;
+/// Verdicts per memo generation. The memo holds at most two generations,
+/// so at most twice this many verdicts; a verdict older than that is
+/// recomputed (verdicts are cheap to recompute next to the memory an
+/// unbounded memo would pin in a long-lived replica).
+const GENERATION_CAPACITY: usize = 1 << 10;
+
+/// Verdicts keyed by `(signer, digest)`: the signatures presented for
+/// that statement, each with its verdict. A statement almost always
+/// carries one signature; a forgery over an honest statement adds a
+/// second.
+type Generation = HashMap<(SignerId, Digest), Vec<(Signature, bool)>>;
+
+/// The memo's two generations. New verdicts go to `young`; when it holds
+/// [`GENERATION_CAPACITY`] verdicts it becomes `old` and the previous
+/// `old` is dropped.
+#[derive(Debug, Default)]
+struct Generations {
+    young: Generation,
+    old: Generation,
+    /// Verdicts held in `young`.
+    young_len: usize,
+}
+
+impl Generations {
+    /// The memoized verdict of `sig` over `(signer, digest)`, if any.
+    fn get(&self, signer: SignerId, digest: &Digest, sig: &Signature) -> Option<bool> {
+        let key = (signer, *digest);
+        [&self.young, &self.old].into_iter().find_map(|generation| {
+            let sigs = generation.get(&key)?;
+            sigs.iter().find(|(s, _)| s == sig).map(|&(_, ok)| ok)
+        })
+    }
+
+    /// Records a verdict in the young generation, rolling the
+    /// generations over first when it is full.
+    fn insert(&mut self, key: (SignerId, Digest), sig: Signature, ok: bool) {
+        if self.young_len >= GENERATION_CAPACITY {
+            self.old = std::mem::take(&mut self.young);
+            self.young_len = 0;
+        }
+        self.young
+            .entry(key)
+            .or_insert_with(|| Vec::with_capacity(1))
+            .push((sig, ok));
+        self.young_len += 1;
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.young_len + self.old.values().map(Vec::len).sum::<usize>()
+    }
+}
 
 /// Shared memo of signature verdicts keyed by `(signer, digest, signature)`.
 ///
@@ -35,7 +83,7 @@ const VERIFY_CACHE_CAPACITY: usize = 1 << 16;
 /// forgery many times too.
 #[derive(Debug, Default)]
 struct VerifyCache {
-    verdicts: Mutex<HashMap<(SignerId, Digest, Signature), bool>>,
+    verdicts: Mutex<Generations>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -50,10 +98,9 @@ impl VerifyCache {
         sig: &Signature,
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        let key = (signer, *digest, sig.clone());
         {
             let verdicts = self.verdicts.lock().expect("verify cache poisoned");
-            if let Some(&ok) = verdicts.get(&key) {
+            if let Some(ok) = verdicts.get(signer, digest, sig) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return ok;
             }
@@ -65,10 +112,7 @@ impl VerifyCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let ok = compute();
         let mut verdicts = self.verdicts.lock().expect("verify cache poisoned");
-        if verdicts.len() >= VERIFY_CACHE_CAPACITY {
-            verdicts.clear();
-        }
-        verdicts.insert(key, ok);
+        verdicts.insert((signer, *digest), sig.clone(), ok);
         ok
     }
 }
@@ -192,6 +236,16 @@ impl KeyDirectory {
     pub fn cache_misses(&self) -> u64 {
         self.cache.misses.load(Ordering::Relaxed)
     }
+
+    /// Number of verdicts the memo currently holds.
+    #[cfg(test)]
+    pub(crate) fn cache_len(&self) -> usize {
+        self.cache
+            .verdicts
+            .lock()
+            .expect("verify cache poisoned")
+            .len()
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +327,45 @@ mod tests {
         // The clone's verification was answered by the original's memo.
         assert_eq!((dir.cache_hits(), dir.cache_misses()), (1, 1));
         assert_eq!(clone.cache_hits(), 1);
+    }
+
+    #[test]
+    fn generations_keep_both_verdicts_of_a_statement_and_stay_bounded() {
+        let (dir, keys) = setup();
+        let digest = Sha256::digest(b"contested");
+        let genuine = keys[0].sign_digest(&digest);
+        let forged = Signature::forged(7);
+        let presented = |dir: &KeyDirectory| {
+            assert!(dir.verify_digest(0, &digest, &genuine).is_ok());
+            assert!(dir.verify_digest(0, &digest, &forged).is_err());
+        };
+        let fill = |range: std::ops::Range<u64>| {
+            for i in range {
+                let filler = Sha256::digest(&i.to_be_bytes());
+                assert!(dir
+                    .verify_digest(1, &filler, &Signature::forged(i))
+                    .is_err());
+                assert!(dir.cache_len() <= 2 * GENERATION_CAPACITY);
+            }
+        };
+        let cap = GENERATION_CAPACITY as u64;
+        presented(&dir);
+        assert_eq!(dir.cache_misses(), 2);
+        // One rollover later both verdicts sit in the old generation.
+        fill(0..cap);
+        let misses = dir.cache_misses();
+        presented(&dir);
+        assert_eq!(
+            dir.cache_misses(),
+            misses,
+            "a verdict left after one rollover"
+        );
+        // After the second rollover they are dropped and recomputed.
+        fill(cap..2 * cap);
+        let misses = dir.cache_misses();
+        presented(&dir);
+        assert_eq!(dir.cache_misses(), misses + 2);
+        assert!(dir.cache_len() <= 2 * GENERATION_CAPACITY);
     }
 
     #[test]

@@ -834,22 +834,19 @@ where
         let live: Vec<usize> = (0..self.conns.len())
             .filter(|&i| self.conns[i].is_some())
             .collect();
-        let ready: Vec<usize> = {
+        // `ready[j]`: whether `live[j]` polled readable.
+        let ready: Vec<bool> = {
             let mut fds: Vec<PollFd<'_>> = live
                 .iter()
                 .map(|&i| PollFd::new(&self.conns[i].as_ref().expect("live index").stream, POLLIN))
                 .collect();
             if poll(&mut fds, wait) == 0 {
-                Vec::new()
+                vec![false; live.len()]
             } else {
-                live.iter()
-                    .zip(&fds)
-                    .filter(|(_, fd)| fd.revents & POLLIN != 0)
-                    .map(|(&i, _)| i)
-                    .collect()
+                fds.iter().map(|fd| fd.revents & POLLIN != 0).collect()
             }
         };
-        for &i in &ready {
+        for (&i, _) in live.iter().zip(&ready).filter(|(_, &r)| r) {
             let mut close = false;
             if let Some(conn) = self.conns[i].as_mut() {
                 loop {
@@ -882,10 +879,8 @@ where
         // Connections whose rings were left full last round (inbound
         // backpressure) or whose parsing was deferred during the barrier
         // may have parseable bytes without fresh readiness.
-        for &i in &live {
-            if !ready.contains(&i) {
-                self.parse_conn(i);
-            }
+        for (&i, _) in live.iter().zip(&ready).filter(|(_, &r)| !r) {
+            self.parse_conn(i);
         }
     }
 
